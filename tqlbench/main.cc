@@ -76,6 +76,9 @@ using tchimera::Status;
 
 // Setups per run; setup_s and the setup-phase layer timings are medians.
 constexpr int kSetups = 3;
+// Cold replica catch-ups and cold recoveries after a served set-up;
+// replica_catchup_s and recovery_s are their medians.
+constexpr int kColdRepeats = 9;
 // The measured window is cut into slices of this length; traced runs
 // alternate traced and untraced slices.
 constexpr int64_t kSliceNs = 100'000'000;
@@ -133,16 +136,6 @@ double PeakRssMiB() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
-// CPU time the hypervisor gave to other tenants while this VM wanted to
-// run (the "steal" column of /proc/stat), in clock ticks; 0 if unknown.
-uint64_t StealTicks() {
-  std::ifstream stat("/proc/stat");
-  std::string cpu;
-  uint64_t v[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  stat >> cpu >> v[0] >> v[1] >> v[2] >> v[3] >> v[4] >> v[5] >> v[6] >> v[7];
-  return cpu == "cpu" ? v[7] : 0;
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -1101,6 +1094,8 @@ struct Sample {
 
 struct ThreadResult {
   std::vector<Sample> samples;
+  // ops and failed count every statement sent, warm-up and drain included;
+  // samples hold the ones that started inside the window and succeeded.
   uint64_t ops = 0, failed = 0, resends = 0, retries_absorbed = 0;
   uint64_t walker_reads = 0;
 };
@@ -1135,7 +1130,6 @@ void ClientLoop(uint16_t port, Actor* actor, LoopControl* ctl,
     const int64_t dt = NowNs() - t0;
     std::string why;
     const bool ok = r.ok() && actor->Accept(op, r.value(), &why);
-    if (!measured) continue;
     ++out->ops;
     if (!ok) {
       ++out->failed;
@@ -1143,6 +1137,7 @@ void ClientLoop(uint16_t port, Actor* actor, LoopControl* ctl,
       report->Fail(r.ok() ? why : op.text + ": " + r.status().ToString());
       continue;
     }
+    if (!measured) continue;
     out->samples.push_back({t0 - ctl->start_ns.load(std::memory_order_relaxed), dt,
                             op.kind, op.shape, slice});
     if (op.kind == kRead && op.shape == kMulti) ++out->walker_reads;
@@ -1155,8 +1150,7 @@ struct LoopOutcome {
   double window_s = 0;
   double cpu_s = 0;
   double parity_s[2] = {0, 0};  // wall time per slice parity
-  std::vector<double> slice_s;        // duration of each slice
-  std::vector<uint64_t> slice_steal;  // steal ticks during each slice
+  std::vector<double> slice_s;  // duration of each slice
   std::vector<std::pair<int64_t, int64_t>> traced_windows;
 };
 
@@ -1179,7 +1173,6 @@ LoopOutcome RunClosedLoop(uint16_t port, std::vector<std::unique_ptr<Actor>>& ac
   ctl.start_ns.store(start);
   ctl.measuring.store(true);
   int64_t slice_start = start;
-  uint64_t steal = StealTicks();
   while (true) {
     const int64_t now = NowNs();
     if (now >= end) break;
@@ -1187,9 +1180,6 @@ LoopOutcome RunClosedLoop(uint16_t port, std::vector<std::unique_ptr<Actor>>& ac
     std::this_thread::sleep_for(std::chrono::nanoseconds(next - now));
     const uint64_t s = ctl.slice.load();
     const int64_t t = NowNs();
-    const uint64_t st = StealTicks();
-    out.slice_steal.push_back(st - steal);
-    steal = st;
     out.slice_s.push_back(Seconds(t - slice_start));
     out.parity_s[s & 1] += Seconds(t - slice_start);
     if (traced) {
@@ -1218,55 +1208,20 @@ LoopOutcome RunClosedLoop(uint16_t port, std::vector<std::unique_ptr<Actor>>& ac
   return out;
 }
 
-// The end-to-end figures of a closed-loop window. This host shares its
-// CPUs with other tenants, whose steal comes and goes and can halve a
-// slice's throughput; so the figures come from the third of the kSliceNs
-// slices with the least steal (then the most statements), and throughput
-// and latency percentiles are taken over the samples that started in
-// those slices. A change that slows every slice still shows in full.
+// The end-to-end figures of a closed-loop window: throughput and latency
+// percentiles over every statement that started inside it.
 struct LoadFigures {
   Percentiles read, write;
   double throughput = 0;
-  size_t slices = 0, calm_slices = 0;
-  uint64_t steal = 0, calm_steal = 0;
 };
 
-LoadFigures CalmFigures(const std::vector<Sample>& samples,
-                        const std::vector<double>& slice_s,
-                        const std::vector<uint64_t>& slice_steal) {
+LoadFigures WindowFigures(const std::vector<Sample>& samples, double window_s) {
   LoadFigures f;
-  const size_t n = slice_s.size();
-  std::vector<uint64_t> count(n, 0);
-  for (const Sample& s : samples) {
-    if (s.slice < n) ++count[s.slice];
-  }
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (slice_steal[a] != slice_steal[b]) return slice_steal[a] < slice_steal[b];
-    return count[a] > count[b];
-  });
-  std::vector<char> calm(n, 0);
-  const size_t keep = (n + 2) / 3;
-  uint64_t kept = 0;
-  double kept_s = 0;
-  for (size_t i = 0; i < keep; ++i) {
-    calm[order[i]] = 1;
-    kept += count[order[i]];
-    kept_s += slice_s[order[i]];
-    f.calm_steal += slice_steal[order[i]];
-  }
-  for (uint64_t st : slice_steal) f.steal += st;
   std::vector<int64_t> reads, writes;
-  for (const Sample& s : samples) {
-    if (s.slice >= n || !calm[s.slice]) continue;
-    (s.kind == kRead ? reads : writes).push_back(s.dt_ns);
-  }
+  for (const Sample& s : samples) (s.kind == kRead ? reads : writes).push_back(s.dt_ns);
   f.read = Pct(std::move(reads));
   f.write = Pct(std::move(writes));
-  f.throughput = kept_s > 0 ? static_cast<double>(kept) / kept_s : 0.0;
-  f.slices = n;
-  f.calm_slices = keep;
+  f.throughput = window_s > 0 ? static_cast<double>(samples.size()) / window_s : 0.0;
   return f;
 }
 
@@ -1520,15 +1475,15 @@ int RunServed(const Args& args) {
               static_cast<long long>(world.pop.now),
               static_cast<unsigned long long>(snapshot_bytes));
 
-  // Five cold replicas catch up from the served primary (checkpoint image
-  // plus the journal so far), and five cold recoveries run on copies of
-  // its files; replica_catchup_s and recovery_s are their medians. Each
-  // replica's state must hash like the primary's.
+  // kColdRepeats cold replicas catch up from the served primary (checkpoint
+  // image plus the journal so far), and as many cold recoveries run on
+  // copies of its files; replica_catchup_s and recovery_s are their
+  // medians. Each replica's state must hash like the primary's.
   CatchUp catchup;
   std::vector<double> catchups, recoveries;
   {
     Result<uint32_t> primary_hash = EngineHash(stack->engine());
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < kColdRepeats; ++i) {
       Status caught = CatchUpReplica(stack.get(), root + "/replica", args.trace, &catchup);
       report.Check(caught.ok(), "replica catch-up: " + caught.ToString());
       report.Check(caught.ok() && primary_hash.ok() && catchup.hash == primary_hash.value(),
@@ -1726,32 +1681,30 @@ int RunServed(const Args& args) {
   const ThreadResult& all = loop.all;
   report.attempted = all.ops + check_reads;
   report.failed = all.failed;
-  const LoadFigures fig = CalmFigures(all.samples, loop.slice_s, loop.slice_steal);
+  const LoadFigures fig = WindowFigures(all.samples, loop.window_s);
   const Percentiles& rp = fig.read;
   const Percentiles& wp = fig.write;
-  std::printf("load: %d clients (nproc %ld), %.3f s window, %llu ops "
-              "(%llu failed), %llu resends; figures from the %zu calmest of %zu "
-              "slices (steal %llu of %llu ticks): %zu read samples, %zu write samples\n",
+  std::printf("load: %d clients (nproc %ld), %.3f s window, %llu ops sent with "
+              "warm-up and drain (%llu failed), %llu resends: %zu read samples, "
+              "%zu write samples in the window\n",
               world.clients, sysconf(_SC_NPROCESSORS_ONLN), loop.window_s,
               static_cast<unsigned long long>(all.ops),
               static_cast<unsigned long long>(all.failed),
-              static_cast<unsigned long long>(all.resends), fig.calm_slices, fig.slices,
-              static_cast<unsigned long long>(fig.calm_steal),
-              static_cast<unsigned long long>(fig.steal), rp.n, wp.n);
+              static_cast<unsigned long long>(all.resends), rp.n, wp.n);
   std::map<std::pair<int, int>, std::vector<int64_t>> by_kind;
   for (const Sample& s : all.samples) {
     by_kind[{s.kind, s.kind == kRead ? s.shape : 0}].push_back(s.dt_ns);
   }
   for (auto& [key, v] : by_kind) {
     Percentiles p = Pct(std::move(v));
-    std::printf("  %-5s %-12s n=%zu p50=%.1f us p99=%.1f us (whole window)\n",
+    std::printf("  %-5s %-12s n=%zu p50=%.1f us p99=%.1f us\n",
                 key.first == kRead ? "read" : "write",
                 key.first == kRead ? kShapeNames[key.second] : kOpNames[key.first], p.n,
                 p.p50_us, p.p99_us);
   }
   std::printf("checks: %llu post-run reads; cold replica catch-up %.3f s and cold "
-              "recovery %.3f s (medians of 5); post-run replay of %zu statements %.3f s\n",
-              static_cast<unsigned long long>(check_reads), Median(catchups),
+              "recovery %.3f s (medians of %d); post-run replay of %zu statements %.3f s\n",
+              static_cast<unsigned long long>(check_reads), Median(catchups), kColdRepeats,
               Median(recoveries), after.replayed, after.replay_s);
   std::printf("memory: peak RSS %.1f MiB after set-up, %.1f MiB after the load\n",
               peak_rss_mib, load_rss_mib);
@@ -1826,7 +1779,7 @@ int RunServed(const Args& args) {
     report.Metric("storage.replication.install_checkpoint_s", catchup.install_s, "s");
     report.Metric("storage.replication.apply_s", catchup.apply_s, "s");
     report.Metric("process.cpu_us_per_op",
-                  all.ops > 0 ? loop.cpu_s * 1e6 / all.ops : 0.0, "us");
+                  all.samples.empty() ? 0.0 : loop.cpu_s * 1e6 / all.samples.size(), "us");
     report.Metric("trace.overhead_us_per_op", per_op_traced - per_op_untraced, "us");
   }
   std::printf("%s\n", report.Json().c_str());
@@ -2012,14 +1965,11 @@ int RunRestart(const Args& args) {
               kRestartStatements, static_cast<unsigned long long>(journal_bytes),
               static_cast<unsigned long long>(snapshot_bytes));
 
-  // Per-round end-to-end figures; like the served workloads, the half of
-  // the rounds with the least CPU steal is reported (see CalmFigures).
-  struct RoundFigures {
-    double recovery_s = 0, catchup_s = 0, replay_rate = 0;
-    std::vector<int64_t> read_ns, write_ns;
-    uint64_t steal = 0;
-  };
-  std::vector<RoundFigures> figs;
+  // End-to-end figures of the untraced rounds. The read percentiles come
+  // from the history reads alone; the member-set scans, a different and
+  // much dearer kind of read, are timed apart and printed.
+  std::vector<double> recovery_s, catchup_s, replay_rate;
+  std::vector<int64_t> read_ns, scan_ns, write_ns;
   std::vector<double> load_s, audit_s, install_s, apply_s, replay_us;
   double round_s[2] = {0, 0};
   std::vector<double> round_us_per_op[2];
@@ -2028,7 +1978,7 @@ int RunRestart(const Args& args) {
   const double cpu0 = CpuSeconds();
   const int64_t start = NowNs();
   const int64_t end = start + static_cast<int64_t>(args.seconds * 1e9);
-  uint64_t rounds = 0, ops = 0;
+  uint64_t rounds = 0, ops = 0, failed = 0;
   // A traced run needs one untraced and one traced round at least.
   const uint64_t min_rounds = args.trace ? 2 : 1;
   while (rounds < min_rounds || NowNs() < end) {
@@ -2039,26 +1989,26 @@ int RunRestart(const Args& args) {
     }
     const bool traced = args.trace && rounds % 2 == 1;
     Tracer::Get().set_enabled(traced);
-    RoundFigures fig;
-    const uint64_t steal0 = StealTicks();
     const int64_t r0 = NowNs();
     uint64_t round_op_count = 0;
     {
       ScopedSpan round_span("restart.round");
       Stack stack(round_dir, traced);
       BootTimes boot;
-      Status recovered = stack.Recover(true, &boot, &fig.write_ns);
+      Status recovered = stack.Recover(true, &boot, traced ? nullptr : &write_ns);
       if (!recovered.ok()) {
         report.Fail("recovery: " + recovered.ToString());
         break;
       }
       report.Check(boot.replayed == script.statements.size(),
                    "replayed " + std::to_string(boot.replayed) + " statements");
-      fig.recovery_s = boot.recovery_s;
       std::printf("round %llu: load %.3f s, replay %.3f s, audit %.3f s, recovery %.3f s\n",
                   static_cast<unsigned long long>(rounds), boot.load_snapshot_s,
                   boot.replay_s, boot.audit_s, boot.recovery_s);
-      fig.replay_rate = boot.replayed / std::max(1e-9, boot.replay_s);
+      if (!traced) {
+        recovery_s.push_back(boot.recovery_s);
+        replay_rate.push_back(boot.replayed / std::max(1e-9, boot.replay_s));
+      }
       replay_us.push_back(boot.replay_s * 1e6 / std::max<size_t>(1, boot.replayed));
       load_s.push_back(boot.load_snapshot_s);
       audit_s.push_back(boot.audit_s);
@@ -2074,11 +2024,13 @@ int RunRestart(const Args& args) {
             ScopedSpan exec("query.session_execute");
             r = session.Execute(c.text);
           }
-          fig.read_ns.push_back(NowNs() - t);
+          if (!traced) (c.shape == kScan ? scan_ns : read_ns).push_back(NowNs() - t);
           std::string why;
           if (!r.ok()) {
+            ++failed;
             report.Fail(c.text + ": " + r.status().ToString());
           } else if (!Matches(c.expect, r.value(), script.now, &why)) {
+            ++failed;
             report.Fail(c.text + ": " + why);
           }
         }
@@ -2093,10 +2045,11 @@ int RunRestart(const Args& args) {
       report.Check(caught.ok(), "replica catch-up: " + caught.ToString());
       report.Check(caught.ok() && primary_hash.ok() && cu.hash == primary_hash.value(),
                    "replica hash differs from the primary's");
-      fig.catchup_s = cu.catchup_s;
       if (traced) {
         install_s.push_back(cu.install_s);
         apply_s.push_back(cu.apply_s);
+      } else {
+        catchup_s.push_back(cu.catchup_s);
       }
       round_op_count += script.statements.size();
     }
@@ -2104,8 +2057,6 @@ int RunRestart(const Args& args) {
     round_s[traced ? 1 : 0] += Seconds(r1 - r0);
     round_us_per_op[traced ? 1 : 0].push_back(Seconds(r1 - r0) * 1e6 / round_op_count);
     if (traced) traced_windows.push_back({r0, r1});
-    fig.steal = StealTicks() - steal0;
-    if (!traced) figs.push_back(std::move(fig));
     ops += round_op_count;
     ++rounds;
   }
@@ -2170,26 +2121,14 @@ int RunRestart(const Args& args) {
   fs::remove_all(root + "/replica", ec);
 
   report.attempted = ops;
-  report.failed = 0;
-  std::stable_sort(figs.begin(), figs.end(), [](const RoundFigures& a,
-                                                const RoundFigures& b) {
-    return a.steal < b.steal;
-  });
-  figs.resize((figs.size() + 1) / 2);
-  std::vector<double> recovery_s, catchup_s, replay_rate;
-  std::vector<int64_t> read_ns, write_ns;
-  for (const RoundFigures& f : figs) {
-    recovery_s.push_back(f.recovery_s);
-    catchup_s.push_back(f.catchup_s);
-    replay_rate.push_back(f.replay_rate);
-    read_ns.insert(read_ns.end(), f.read_ns.begin(), f.read_ns.end());
-    write_ns.insert(write_ns.end(), f.write_ns.begin(), f.write_ns.end());
-  }
-  Percentiles rp = Pct(read_ns), wp = Pct(write_ns);
-  std::printf("load: %llu rounds in %.3f s, %llu ops; figures from the %zu calmest "
-              "untraced rounds: %zu read samples, %zu replayed statement samples\n",
+  report.failed = failed;
+  Percentiles rp = Pct(read_ns), sp = Pct(scan_ns), wp = Pct(write_ns);
+  std::printf("load: %llu rounds in %.3f s, %llu ops; figures from the %zu untraced "
+              "rounds: %zu history read samples, %zu replayed statement samples\n",
               static_cast<unsigned long long>(rounds), window_s,
-              static_cast<unsigned long long>(ops), figs.size(), rp.n, wp.n);
+              static_cast<unsigned long long>(ops), recovery_s.size(), rp.n, wp.n);
+  std::printf("  member-set scans (not in read_p50/p99): n=%zu p50=%.1f us p99=%.1f us\n",
+              sp.n, sp.p50_us, sp.p99_us);
   if (!args.trace) {
     report.Metric("setup_s", Median(setup.setup_s), "s");
     report.Metric("throughput_ops_s", Median(replay_rate), "statements/s");
